@@ -145,7 +145,7 @@ func run(args []string) error {
 		maxRetries  = fs.Int("max-retries", 2, "retries per job after a transient failure (0 = no retries)")
 		retryBase   = fs.Duration("retry-base", 100*time.Millisecond, "base delay of the exponential retry backoff")
 		bestEffort  = fs.Bool("best-effort", false, "return partial results with coverage annotations when a job hits its -timeout")
-		incr        = fs.Bool("incremental", false, "route epoch-sweep measurements through the incremental maintainers (delta-repaired cores and BFS, warm-started SLEM)")
+		incr        = fs.Bool("incremental", false, "route epoch-sweep measurements through the incremental maintainers (delta-repaired cores and BFS, per-epoch SLEM)")
 		ckptDir     = fs.String("ckpt-dir", "", "checkpoint directory (default <out>/ckpt)")
 		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file (any mode)")
 		memprofile  = fs.String("memprofile", "", "write a heap profile to this file at exit (any mode)")
@@ -556,12 +556,11 @@ func runBench(ctx context.Context, opts experiments.Options, out string, workers
 	}
 	it := report.NewTable(
 		fmt.Sprintf("bench: full-per-epoch vs incremental maintainers (best of %d)", repeats),
-		"Pipeline", "Dataset", "Epochs", "Sources", "Full (s)", "Incremental (s)", "Speedup", "Identical", "Max SLEM diff")
+		"Pipeline", "Dataset", "Epochs", "Sources", "Full (s)", "Incremental (s)", "Speedup", "Identical")
 	for _, e := range ires.Entries {
 		if err := it.AddRow(e.Name, e.Dataset, report.Int(e.Epochs), report.Int(e.Sources),
 			report.Float(e.FullSeconds, 4), report.Float(e.IncrementalSeconds, 4),
-			report.Float(e.Speedup, 2), fmt.Sprintf("%v", e.Identical),
-			fmt.Sprintf("%.2g", e.MaxSLEMDiff)); err != nil {
+			report.Float(e.Speedup, 2), fmt.Sprintf("%v", e.Identical)); err != nil {
 			return err
 		}
 	}
@@ -614,7 +613,7 @@ func runBench(ctx context.Context, opts experiments.Options, out string, workers
 	if !vres.Identical() {
 		return fmt.Errorf("bench: view and rebuild result fingerprints diverged (see %s)", vpath)
 	}
-	if !ires.Equivalent() {
+	if !ires.Identical() {
 		return fmt.Errorf("bench: incremental and full results diverged (see %s)", ipath)
 	}
 	if !sres.Identical() {

@@ -32,8 +32,8 @@ type Config struct {
 	// ExpansionSources limits the expansion measurement to a sample of
 	// cores; 0 measures from every node as the paper does.
 	ExpansionSources int
-	// SpectralTolerance is the SLEM power-iteration tolerance. Defaults
-	// to 1e-7 (community graphs have clustered spectra).
+	// SpectralTolerance bounds the SLEM's Ritz residuals (see
+	// spectral.Config.Tolerance). Defaults to 1e-7.
 	SpectralTolerance float64
 	// Seed makes the whole suite deterministic.
 	Seed int64

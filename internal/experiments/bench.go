@@ -18,7 +18,7 @@ import (
 // BenchEntry is one kernel timed at workers=1 versus workers=N.
 type BenchEntry struct {
 	// Name is the kernel: mixing (Eq. 2 sampling method), expansion
-	// (Eq. 4 envelopes), or spectral (SLEM power iteration).
+	// (Eq. 4 envelopes), or spectral (Lanczos SLEM).
 	Name string `json:"name"`
 	// Dataset is the registry graph the kernel ran on.
 	Dataset string `json:"dataset"`

@@ -174,7 +174,7 @@ func BenchScale(ctx context.Context, opts Options, shards int, scratch string) (
 
 	// Capped kernel configurations: the point is substrate throughput,
 	// not full measurements, so walks take a few steps, expansion runs
-	// one 64-source batch, and the power iteration is iteration-capped
+	// one 64-source batch, and the Lanczos run is step-capped
 	// (an unconverged estimate is still bit-reproducible).
 	mixingCfg := walk.MixingConfig{
 		MaxSteps: 5, Sources: 8, Seed: opts.Seed, Workers: workers, BlockSize: 4,

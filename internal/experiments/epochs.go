@@ -102,10 +102,9 @@ func (r *EpochSweepResult) Table() (*report.Table, error) {
 
 // EpochSweep measures degeneracy, SLEM, and the expansion envelope at
 // every epoch of a drifting fault schedule. With Options.Incremental
-// the three measurements ride the internal/incremental maintainers
-// (exact cores and expansion, tolerance-equal SLEM); otherwise each
-// epoch recomputes from scratch. Both modes walk identical schedules,
-// so their tables agree up to SLEM rounding.
+// the three measurements ride the internal/incremental maintainers;
+// otherwise each epoch recomputes from scratch. Both modes walk
+// identical schedules, so their tables are identical.
 func EpochSweep(ctx context.Context, opts Options) (*EpochSweepResult, error) {
 	opts.fill()
 	g, err := epochSweepGraph(&opts)
@@ -188,18 +187,12 @@ type IncrementalBenchEntry struct {
 	// CoreIncrementalEpochs counts epochs (of Epochs-1 advances) whose
 	// coreness repair ran incrementally rather than falling back.
 	CoreIncrementalEpochs int `json:"core_incremental_epochs"`
-	// Identical reports the integer measurements (per-node cores, every
-	// per-source BFS level count, component size) were bit-for-bit
-	// identical across variants at every epoch; Fingerprint is the
-	// shared FNV-1a digest.
+	// Identical reports the measurements (per-node cores, every
+	// per-source BFS level count, component size, SLEM bits and step
+	// count) were bit-for-bit identical across variants at every epoch;
+	// Fingerprint is the shared FNV-1a digest.
 	Identical   bool   `json:"identical"`
 	Fingerprint string `json:"fingerprint"`
-	// MaxSLEMDiff is the largest per-epoch |SLEM_full - SLEM_incremental|;
-	// the warm-started iteration converges to the same tolerance, not the
-	// same bit pattern, so it is compared against SLEMTolerance instead
-	// of fingerprinted.
-	MaxSLEMDiff   float64 `json:"max_slem_diff"`
-	SLEMTolerance float64 `json:"slem_tolerance"`
 }
 
 // IncrementalBenchResult is the incremental-measurement baseline
@@ -215,23 +208,22 @@ type IncrementalBenchResult struct {
 	Entries    []IncrementalBenchEntry `json:"entries"`
 }
 
-// Equivalent reports whether every entry's variants agreed: integer
-// fingerprints identical and SLEM within tolerance. Callers treat
-// false as a failure — the variants replay the same schedule, so any
-// divergence is a repair bug, not noise.
-func (r *IncrementalBenchResult) Equivalent() bool {
+// Identical reports whether every entry's variants produced identical
+// fingerprints. Callers treat false as a failure — the variants replay
+// the same schedule, so any divergence is a repair bug, not noise.
+func (r *IncrementalBenchResult) Identical() bool {
 	for _, e := range r.Entries {
-		if !e.Identical || e.MaxSLEMDiff > e.SLEMTolerance {
+		if !e.Identical {
 			return false
 		}
 	}
 	return true
 }
 
-// epochFingerprint folds one epoch's integer measurements into h:
-// every node's coreness, every source's BFS level counts, and the
-// largest-component size.
-func epochFingerprint(h interface{ Write(p []byte) (int, error) }, cores []int, levels [][]int64, compSize int) {
+// epochFingerprint folds one epoch's measurements into h: every node's
+// coreness, every source's BFS level counts, the largest-component
+// size, and the SLEM's bits and Lanczos step count.
+func epochFingerprint(h interface{ Write(p []byte) (int, error) }, cores []int, levels [][]int64, compSize int, slem *spectral.Result) {
 	var buf [8]byte
 	put := func(u uint64) {
 		binary.LittleEndian.PutUint64(buf[:], u)
@@ -247,6 +239,8 @@ func epochFingerprint(h interface{ Write(p []byte) (int, error) }, cores []int, 
 		}
 	}
 	put(uint64(compSize))
+	put(math.Float64bits(slem.SLEM))
+	put(uint64(slem.Iterations))
 }
 
 // BenchIncremental times the epoch sweep with and without the
@@ -255,8 +249,8 @@ func epochFingerprint(h interface{ Write(p []byte) (int, error) }, cores []int, 
 // all three structural metrics every epoch; the full variant
 // recomputes each from scratch, the incremental variant repairs the
 // maintained state from the epoch delta (k-core subcore repair,
-// delta-BFS, warm-started SLEM). Equivalence is part of the baseline:
-// integer results must be bit-identical, SLEM within tolerance.
+// delta-BFS, per-epoch SLEM). Equivalence is part of the baseline:
+// every result must be bit-identical.
 func BenchIncremental(ctx context.Context, opts Options, repeats int) (*IncrementalBenchResult, error) {
 	opts.fill()
 	if repeats < 1 {
@@ -278,15 +272,6 @@ func BenchIncremental(ctx context.Context, opts Options, repeats int) (*Incremen
 	epochs := opts.pick(4, 16)
 	fcfg := epochSweepFaultConfig(opts.Seed)
 
-	// The power iteration stops when successive eigenvalue estimates are
-	// within Tolerance (1e-8); on a slow-mixing community graph the
-	// absolute eigenvalue error is that divided by one minus the
-	// iteration's contraction ratio, so warm and cold runs can land up
-	// to a few orders of magnitude apart while both meeting the
-	// convergence contract. 1e-4 bounds the divergence two runs
-	// converged to 1e-8 per step can exhibit here, with margin.
-	const slemTol = 1e-4
-	var fullSLEMs, incSLEMs []float64
 	coreIncEpochs := 0
 
 	fullVariant := func() (string, error) {
@@ -295,7 +280,6 @@ func BenchIncremental(ctx context.Context, opts Options, repeats int) (*Incremen
 			return "", err
 		}
 		h := fnv.New64a()
-		fullSLEMs = fullSLEMs[:0]
 		for e := 0; e < epochs; e++ {
 			if e > 0 {
 				m.AdvanceEpoch()
@@ -313,8 +297,7 @@ func BenchIncremental(ctx context.Context, opts Options, repeats int) (*Incremen
 			if err != nil {
 				return "", err
 			}
-			epochFingerprint(h, dec.CorenessValues(), er.Checkpoint().Levels, len(nodes))
-			fullSLEMs = append(fullSLEMs, sr.SLEM)
+			epochFingerprint(h, dec.CorenessValues(), er.Checkpoint().Levels, len(nodes), sr)
 		}
 		return fmt.Sprintf("%016x", h.Sum64()), nil
 	}
@@ -329,7 +312,6 @@ func BenchIncremental(ctx context.Context, opts Options, repeats int) (*Incremen
 			return "", err
 		}
 		h := fnv.New64a()
-		incSLEMs = incSLEMs[:0]
 		coreIncEpochs = 0
 		for e := 0; e < epochs; e++ {
 			if e > 0 && en.Advance() {
@@ -339,8 +321,7 @@ func BenchIncremental(ctx context.Context, opts Options, repeats int) (*Incremen
 			if err != nil {
 				return "", err
 			}
-			epochFingerprint(h, en.Cores(), meas.Expansion.Checkpoint().Levels, meas.ComponentSize)
-			incSLEMs = append(incSLEMs, meas.SLEM.SLEM)
+			epochFingerprint(h, en.Cores(), meas.Expansion.Checkpoint().Levels, meas.ComponentSize, meas.SLEM)
 		}
 		return fmt.Sprintf("%016x", h.Sum64()), nil
 	}
@@ -349,7 +330,6 @@ func BenchIncremental(ctx context.Context, opts Options, repeats int) (*Incremen
 		Name: "epoch-sweep", Dataset: "clustered-10k",
 		Nodes: g.NumNodes(), Edges: g.NumEdges(),
 		Epochs: epochs, Sources: len(srcs), Repeats: repeats,
-		SLEMTolerance: slemTol,
 	}
 	fullSec, fullFP, err := timeVariant(fullVariant, repeats)
 	if err != nil {
@@ -366,11 +346,6 @@ func BenchIncremental(ctx context.Context, opts Options, repeats int) (*Incremen
 	entry.Identical = fullFP == incFP
 	entry.Fingerprint = incFP
 	entry.CoreIncrementalEpochs = coreIncEpochs
-	for i := range fullSLEMs {
-		if d := math.Abs(fullSLEMs[i] - incSLEMs[i]); d > entry.MaxSLEMDiff {
-			entry.MaxSLEMDiff = d
-		}
-	}
 
 	return &IncrementalBenchResult{
 		GoVersion:  runtime.Version(),

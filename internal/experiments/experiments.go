@@ -44,9 +44,8 @@ type Options struct {
 	Resume bool
 	// Incremental routes epoch-sweep measurements through the
 	// internal/incremental maintainers (delta-repaired cores and BFS,
-	// warm-started SLEM) instead of recomputing every epoch from
-	// scratch. Integer results are bit-identical either way; SLEM agrees
-	// within its convergence tolerance.
+	// per-epoch SLEM) instead of recomputing every epoch from scratch.
+	// Results are bit-identical either way.
 	Incremental bool
 	// Substrate is the canonical graph-substrate fingerprint of the run
 	// (see SubstrateFingerprint). Runners fold it into their per-dataset

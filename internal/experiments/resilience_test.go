@@ -12,7 +12,7 @@ import (
 
 // countCtx is a context whose Err() flips to DeadlineExceeded after a
 // fixed number of calls. The runners and measurements consult Err() at
-// deterministic points (per dataset, per power iteration, per walk
+// deterministic points (per dataset, per Lanczos step, per walk
 // step), so with Workers=1 the "kill" lands at exactly the same place on
 // every run — a reproducible stand-in for a wall-clock deadline or a
 // killed process.

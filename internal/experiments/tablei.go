@@ -20,10 +20,10 @@ type TableIRow struct {
 	Edges int64
 	// SLEM is the measured second largest eigenvalue modulus μ.
 	SLEM float64
-	// Converged reports whether the power iteration converged within its
-	// budget; when false SLEM is the last (still monotone) estimate.
+	// Converged reports whether the Lanczos run converged within its
+	// budget; when false SLEM is the last estimate, a lower bound on μ.
 	Converged bool
-	// Partial reports a best-effort deadline cut the power iteration
+	// Partial reports a best-effort deadline cut the Lanczos run
 	// short; SLEM is the running estimate after Coverage of the budget.
 	Partial  bool
 	Coverage float64
@@ -88,7 +88,9 @@ func TableI(ctx context.Context, opts Options) (*TableIResult, error) {
 			scfg.Tolerance = 1e-5
 		}
 		key := "tableI-" + spec.Name
-		fp := resilience.Fingerprint("tableI", spec.Name, opts.Quick, opts.Seed, scfg.MaxIterations, scfg.Tolerance, opts.Substrate)
+		// "lanczos" names the checkpoint's payload format: a checkpoint
+		// saved by the older power iteration is stale, never resumed.
+		fp := resilience.Fingerprint("tableI", "lanczos", spec.Name, opts.Quick, opts.Seed, scfg.MaxIterations, scfg.Tolerance, opts.Substrate)
 		if opts.Ckpt != nil && opts.Resume {
 			c, err := opts.Ckpt.Load(key, fp)
 			if err != nil {
@@ -105,8 +107,8 @@ func TableI(ctx context.Context, opts Options) (*TableIResult, error) {
 				res.Rows = append(res.Rows, row)
 				continue
 			case c != nil:
-				// Interrupted mid-iteration: warm-start the power iteration
-				// from the checkpointed eigenvector.
+				// Interrupted mid-iteration: continue the Lanczos
+				// recurrence from the checkpointed state.
 				var sck spectral.Checkpoint
 				if err := c.DecodePayload(&sck); err != nil {
 					return nil, fmt.Errorf("experiments: table I: %w", err)

@@ -22,8 +22,7 @@ var (
 type EngineConfig struct {
 	// Sources are the BFS sources for the expansion envelope. Required.
 	Sources []graph.NodeID
-	// Spectral configures the SLEM power iteration (Warm, KeepVector,
-	// and Resume are managed by the engine).
+	// Spectral configures the SLEM measurement (Resume is ignored).
 	Spectral spectral.Config
 	// Workers bounds per-measurement parallelism for the expansion fold.
 	Workers int
@@ -50,16 +49,15 @@ type EpochMeasurement struct {
 // Engine drives the three incremental maintainers in lockstep with a
 // fault model: each Advance moves the model one epoch and repairs the
 // maintained coreness and BFS state from the epoch delta; Measure
-// snapshots all three metrics on the current view, warm-starting the
-// SLEM from the previous epoch's eigenvector.
+// snapshots all three metrics on the current view, with the SLEM
+// measured cold on the largest component.
 //
 // An interrupted sweep resumes by rebuilding: faults.Model.SetEpoch
 // replays the schedule to any epoch deterministically, and a fresh
-// Engine constructed there produces measurements equivalent to the
-// uninterrupted run — bit-identical cores and expansion (both are
-// exact at every epoch regardless of the repair path taken), and
-// SLEM within tolerance (the warm-start history differs, the
-// convergence target does not). Not safe for concurrent use.
+// Engine constructed there produces measurements bit-identical to the
+// uninterrupted run — cores and expansion are exact at every epoch
+// regardless of the repair path taken, and the SLEM depends only on
+// the current view. Not safe for concurrent use.
 type Engine struct {
 	model *faults.Model
 	cores *CoreMaintainer
@@ -113,9 +111,8 @@ func (en *Engine) Advance() bool {
 	return inc
 }
 
-// Measure snapshots the three structural metrics on the current view.
-// The coreness and expansion parts are bit-identical to from-scratch
-// measurements; the SLEM is warm-started and tolerance-equal.
+// Measure snapshots the three structural metrics on the current view,
+// bit-identical to the from-scratch MeasureFull.
 func (en *Engine) Measure(ctx context.Context) (*EpochMeasurement, error) {
 	exp, err := en.exp.Measure(ctx, en.cfg.Workers)
 	if err != nil {
@@ -159,10 +156,7 @@ func MeasureFull(ctx context.Context, view *graph.MaskedView, cfg EngineConfig) 
 	if err != nil {
 		return nil, fmt.Errorf("incremental: full expansion: %w", err)
 	}
-	comp, nodes := graph.LargestComponentView(view)
-	scfg := cfg.Spectral
-	scfg.Warm, scfg.Resume, scfg.KeepVector = nil, nil, false
-	slem, err := spectral.SLEMContext(ctx, comp, scfg)
+	slem, compSize, err := NewSLEMMaintainer(view, cfg.Spectral).Measure(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("incremental: full slem: %w", err)
 	}
@@ -170,6 +164,6 @@ func MeasureFull(ctx context.Context, view *graph.MaskedView, cfg EngineConfig) 
 		Degeneracy:    dec,
 		Expansion:     exp,
 		SLEM:          slem,
-		ComponentSize: len(nodes),
+		ComponentSize: compSize,
 	}, nil
 }

@@ -24,6 +24,7 @@ type epochRecord struct {
 	degeneracy int
 	levels     [][]int64
 	slem       float64
+	slemSteps  int
 	compSize   int
 }
 
@@ -43,6 +44,7 @@ func recordEpoch(t *testing.T, en *Engine) epochRecord {
 		degeneracy: meas.Degeneracy,
 		levels:     levels,
 		slem:       meas.SLEM.SLEM,
+		slemSteps:  meas.SLEM.Iterations,
 		compSize:   meas.ComponentSize,
 	}
 }
@@ -67,8 +69,9 @@ func compareEpochRecords(t *testing.T, epoch int, a, b epochRecord) {
 			}
 		}
 	}
-	if diff := math.Abs(a.slem - b.slem); diff > 1e-6 {
-		t.Fatalf("epoch %d: SLEM diverged: %.12f vs %.12f (diff %.3g)", epoch, a.slem, b.slem, diff)
+	if math.Float64bits(a.slem) != math.Float64bits(b.slem) || a.slemSteps != b.slemSteps {
+		t.Fatalf("epoch %d: SLEM diverged: %.17g after %d steps vs %.17g after %d",
+			epoch, a.slem, a.slemSteps, b.slem, b.slemSteps)
 	}
 	if a.compSize != b.compSize {
 		t.Fatalf("epoch %d: component size diverged: %d vs %d", epoch, a.compSize, b.compSize)
@@ -78,9 +81,7 @@ func compareEpochRecords(t *testing.T, epoch int, a, b epochRecord) {
 // TestKillAndResumeEngineEquivalence kills a sweep mid-flight and
 // resumes it cold: the fault schedule replays to the kill epoch with
 // SetEpoch, a fresh Engine rebuilds there, and the resumed epochs must
-// match the uninterrupted run — bit-identical cores and expansion,
-// SLEM within tolerance (the warm-start lineage differs, the
-// convergence target does not).
+// match the uninterrupted run bit for bit: cores, expansion and SLEM.
 func TestKillAndResumeEngineEquivalence(t *testing.T) {
 	g := sweepGraph(t)
 	cfg := EngineConfig{Sources: expansionSources(t, g, 8), Workers: 1}
@@ -154,8 +155,9 @@ func TestEquivalenceEngineVsFullSweep(t *testing.T) {
 				}
 			}
 		}
-		if diff := math.Abs(got.SLEM.SLEM - want.SLEM.SLEM); diff > 1e-6 {
-			t.Fatalf("epoch %d: SLEM %.12f, full says %.12f", e, got.SLEM.SLEM, want.SLEM.SLEM)
+		if math.Float64bits(got.SLEM.SLEM) != math.Float64bits(want.SLEM.SLEM) || got.SLEM.Iterations != want.SLEM.Iterations {
+			t.Fatalf("epoch %d: SLEM %.17g after %d steps, full says %.17g after %d",
+				e, got.SLEM.SLEM, got.SLEM.Iterations, want.SLEM.SLEM, want.SLEM.Iterations)
 		}
 		if got.ComponentSize != want.ComponentSize {
 			t.Fatalf("epoch %d: component %d, full says %d", e, got.ComponentSize, want.ComponentSize)

@@ -13,14 +13,15 @@
 //   - ExpansionMaintainer repairs each BFS source's distance field with
 //     a batched Ramalingam–Reps pass (deletions first, then insertions
 //     as a multi-source relaxation), keeping per-level counts exact.
-//   - SLEMMaintainer warm-starts the power iteration with the previous
-//     epoch's eigenvector, carried across the delta by original node ID.
+//   - SLEMMaintainer measures the SLEM cold on the largest component
+//     each epoch: Lanczos from a seeded start needs about as few steps
+//     as one warm-started from the previous epoch, so there is no
+//     state worth carrying.
 //
-// Every maintainer produces results equal to its from-scratch
-// counterpart — bit-identical for the integer measurements (cores,
-// expansion level counts), tolerance-equal for the SLEM — and falls
-// back to the full recomputation when a delta is too large for the
-// repair to be cheaper (the budgets are documented per maintainer).
+// Every maintainer produces results bit-identical to its from-scratch
+// counterpart, and the core and expansion maintainers fall back to the
+// full recomputation when a delta is too large for the repair to be
+// cheaper (the budgets are documented per maintainer).
 // Deltas are only small when the fault schedule evolves rather than
 // redraws, so pair these with faults.Config.Drift.
 package incremental

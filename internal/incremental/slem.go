@@ -4,92 +4,34 @@ import (
 	"context"
 
 	"github.com/trustnet/trustnet/internal/graph"
-	"github.com/trustnet/trustnet/internal/obs"
 	"github.com/trustnet/trustnet/internal/spectral"
 )
 
-// Observability instruments for the warm-started SLEM maintenance.
-var (
-	obsSLEMMeasures = obs.Default().Counter("incremental.slem.measures")
-	obsSLEMWarmed   = obs.Default().Counter("incremental.slem.warmed")
-	obsSLEMColdFull = obs.Default().Counter("incremental.slem.cold_starts")
-)
-
-// SLEMMaintainer carries the SLEM power iteration's eigenvector across
-// epochs so each epoch's measurement warm-starts from the previous
-// one's. Unlike the core and expansion maintainers it has no delta to
-// repair — the power iteration itself is the repair — so there is no
-// Apply: after each epoch advance, call Measure on the current view.
-//
-// The eigenvector is stored indexed by original node ID, because the
-// measurement runs on the view's largest connected component and the
-// component (hence the local ID space) shifts between epochs. Nodes
-// that enter the component start at zero in the warm vector, which the
-// deflation and normalization inside spectral.SLEMContext absorb; if
-// the warm vector degenerates (component turned over entirely), the
-// iteration falls back to its seeded random start — either way the
-// result satisfies the same Tolerance as a cold start, so warm
-// starting affects iteration count, never correctness. Not safe for
-// concurrent use.
+// SLEMMaintainer measures the SLEM of a view's largest connected
+// component once per epoch. It carries nothing across epochs: Lanczos
+// from a seeded start needs about as few steps as one started from the
+// previous epoch's eigenvector, so each Measure is a cold measurement,
+// bit-identical to spectral.SLEMContext on the same component and to
+// MeasureFull. Not safe for concurrent use.
 type SLEMMaintainer struct {
 	view *graph.MaskedView
 	cfg  spectral.Config
-	// warm is the previous epoch's eigenvector by original node ID;
-	// nil until the first successful Measure.
-	warm []float64
-	// local is scratch for the component-local warm vector.
-	local []float64
 }
 
-// NewSLEMMaintainer returns a maintainer measuring SLEM on view's
-// largest connected component with cfg (Warm, KeepVector, and Resume
-// are overridden per measurement).
+// NewSLEMMaintainer returns a maintainer measuring with cfg (Resume is
+// ignored).
 func NewSLEMMaintainer(view *graph.MaskedView, cfg spectral.Config) *SLEMMaintainer {
 	cfg.Resume = nil
 	return &SLEMMaintainer{view: view, cfg: cfg}
 }
 
 // Measure computes the SLEM of the view's current largest connected
-// component, warm-starting from the previous epoch's eigenvector when
-// one is available. On success the final iterate is stored for the
-// next call. The returned component size lets callers weigh the
-// measurement.
+// component and returns it with the component's node count.
 func (sm *SLEMMaintainer) Measure(ctx context.Context) (*spectral.Result, int, error) {
-	obsSLEMMeasures.Inc()
 	comp, nodes := graph.LargestComponentView(sm.view)
-
-	cfg := sm.cfg
-	cfg.KeepVector = true
-	if sm.warm != nil {
-		if cap(sm.local) < len(nodes) {
-			sm.local = make([]float64, len(nodes))
-		}
-		sm.local = sm.local[:len(nodes)]
-		for l, orig := range nodes {
-			sm.local[l] = sm.warm[orig]
-		}
-		cfg.Warm = sm.local
-		obsSLEMWarmed.Inc()
-	} else {
-		obsSLEMColdFull.Inc()
-	}
-
-	res, err := spectral.SLEMContext(ctx, comp, cfg)
+	res, err := spectral.SLEMContext(ctx, comp, sm.cfg)
 	if err != nil {
 		return nil, 0, err
-	}
-	if ev := res.Eigenvector(); ev != nil && !res.Partial {
-		if sm.warm == nil {
-			sm.warm = make([]float64, sm.view.NumNodes())
-		}
-		// Zero stale entries so nodes leaving and re-entering the
-		// component don't inject an old epoch's values.
-		for i := range sm.warm {
-			sm.warm[i] = 0
-		}
-		for l, orig := range nodes {
-			sm.warm[orig] = ev[l]
-		}
 	}
 	return res, len(nodes), nil
 }

@@ -39,7 +39,7 @@ import (
 
 // SchemaVersion versions the artifact envelope and cache key. Bumping
 // it orphans (never corrupts) every previously cached artifact.
-const SchemaVersion = "trustnet/artifact/v1"
+const SchemaVersion = "trustnet/artifact/v2"
 
 // Job is one addressable measurement: a named unit of work whose
 // configuration is fingerprinted into the artifact cache key and whose

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,7 +14,7 @@ import (
 
 // countCtx is a context whose Err() flips to DeadlineExceeded after a
 // fixed number of calls. SLEMContext consults Err() exactly once per
-// power iteration, so the interruption lands at the same iteration on
+// Lanczos step, so the interruption lands at the same iteration on
 // every run — unlike a wall-clock deadline.
 type countCtx struct {
 	context.Context
@@ -59,7 +60,8 @@ func TestSLEMContextBestEffortPartial(t *testing.T) {
 	if math.IsInf(r.SLEM, 0) || math.IsNaN(r.SLEM) {
 		t.Fatalf("salvaged SLEM estimate = %v", r.SLEM)
 	}
-	if ckpt := r.Checkpoint(); ckpt == nil || ckpt.Iterations != 40 || len(ckpt.Vector) != 200 {
+	if ckpt := r.Checkpoint(); ckpt == nil || ckpt.Iterations != 40 || len(ckpt.Q) != 200 ||
+		len(ckpt.QPrev) != 200 || len(ckpt.Alpha) != 40 || len(ckpt.Beta) != 40 {
 		t.Fatalf("Checkpoint() = %+v", ckpt)
 	}
 
@@ -76,9 +78,9 @@ func TestSLEMContextBestEffortPartial(t *testing.T) {
 	}
 }
 
-// The resilience contract: interrupt the power iteration, checkpoint the
-// iterate through a JSON round-trip (as internal/resilience would),
-// resume, and the final eigenvalue is bit-identical to the
+// The resilience contract: interrupt the Lanczos run, checkpoint the
+// recurrence state through a JSON round-trip (as internal/resilience
+// would), resume, and the final eigenvalue is bit-identical to the
 // never-interrupted computation.
 func TestSLEMContextResumeBitIdentical(t *testing.T) {
 	g, err := gen.BarabasiAlbert(200, 3, 9)
@@ -149,16 +151,20 @@ func TestSLEMContextResumeChained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for hops := 0; r.Partial; hops++ {
+	hops := 0
+	for ; r.Partial; hops++ {
 		if hops > 50 {
 			t.Fatal("resume chain did not terminate")
 		}
 		next := cut
 		next.Resume = r.Checkpoint()
-		// Each hop advances at most 100 iterations (one Err() call each).
-		if r, err = SLEMContext(newCountCtx(100), g, next); err != nil {
+		// Each hop advances at most 7 steps (one Err() call each).
+		if r, err = SLEMContext(newCountCtx(7), g, next); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if hops < 3 {
+		t.Fatalf("setup: the run finished after %d resumes; the chain should be longer", hops)
 	}
 	if math.Float64bits(r.SLEM) != math.Float64bits(ref.SLEM) || r.Iterations != ref.Iterations {
 		t.Fatalf("chained resume: SLEM %v after %d iterations, want %v after %d",
@@ -171,17 +177,44 @@ func TestSLEMContextResumeMalformedRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Workers: 1}
-	cfg.Resume = &Checkpoint{Vector: make([]float64, 7), Prev: 0.5, Iterations: 3}
-	if _, err := SLEMContext(context.Background(), g, cfg); err == nil {
-		t.Fatal("wrong-size resume vector accepted")
+	cut := Config{Workers: 1, BestEffort: true}
+	partial, err := SLEMContext(newCountCtx(3), g, cut)
+	if err != nil || !partial.Partial {
+		t.Fatalf("setup: partial run = %+v, %v", partial, err)
 	}
-	cfg.Resume = &Checkpoint{Vector: make([]float64, 100), Prev: 0.5, Iterations: 0}
-	if _, err := SLEMContext(context.Background(), g, cfg); err == nil {
-		t.Fatal("zero-iteration resume checkpoint accepted")
+	good := *partial.Checkpoint()
+	for name, mutate := range map[string]func(c *Checkpoint){
+		"short Q":          func(c *Checkpoint) { c.Q = c.Q[:7] },
+		"short QPrev":      func(c *Checkpoint) { c.QPrev = nil },
+		"zero iterations":  func(c *Checkpoint) { c.Iterations, c.Alpha, c.Beta = 0, nil, nil },
+		"alpha/iterations": func(c *Checkpoint) { c.Alpha = c.Alpha[:2] },
+		"beta/iterations":  func(c *Checkpoint) { c.Beta = append(c.Beta, 0.5) },
+		"non-finite alpha": func(c *Checkpoint) { c.Alpha = []float64{c.Alpha[0], math.NaN(), c.Alpha[2]} },
+		"vanishing beta":   func(c *Checkpoint) { c.Beta = []float64{c.Beta[0], 0, c.Beta[2]} },
+		"infinite beta":    func(c *Checkpoint) { c.Beta = []float64{c.Beta[0], c.Beta[1], math.Inf(1)} },
+		"negative beta":    func(c *Checkpoint) { c.Beta = []float64{-c.Beta[0], c.Beta[1], c.Beta[2]} },
+	} {
+		c := good
+		mutate(&c)
+		cfg := Config{Workers: 1, Resume: &c}
+		if _, err := SLEMContext(context.Background(), g, cfg); err == nil {
+			t.Errorf("%s: malformed checkpoint accepted", name)
+		}
 	}
-	cfg.Resume = &Checkpoint{Vector: make([]float64, 100), Prev: math.Inf(1), Iterations: 3}
-	if _, err := SLEMContext(context.Background(), g, cfg); err == nil {
-		t.Fatal("infinite Prev in resume checkpoint accepted")
+
+	// A power-iteration checkpoint left on disk by an older version
+	// decodes without Q, Alpha or Beta and must be rejected, not resumed.
+	old := []byte(`{"vector":[` + strings.Repeat("0.1,", 99) + `0.1],"prev":0.5,"iterations":3}`)
+	var ckpt Checkpoint
+	if err := json.Unmarshal(old, &ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SLEMContext(context.Background(), g, Config{Workers: 1, Resume: &ckpt}); err == nil {
+		t.Fatal("power-iteration checkpoint accepted as a Lanczos resume state")
+	}
+
+	// The unmodified checkpoint still resumes.
+	if _, err := SLEMContext(context.Background(), g, Config{Workers: 1, Resume: &good}); err != nil {
+		t.Fatalf("well-formed checkpoint rejected: %v", err)
 	}
 }

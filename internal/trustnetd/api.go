@@ -341,7 +341,8 @@ func (s *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, cat)
 }
 
-// handleEnqueueJob answers POST /v1/jobs: it pins the target graph,
+// handleEnqueueJob answers POST /v1/jobs: it rejects a configuration
+// no measurement can honor (400), pins the target graph,
 // resolves the job name through the per-graph jobs.Registry (so typos
 // get nearest-name suggestions), and admits the bound job to the queue.
 // The graph stays pinned — safe from eviction-unmap — until the run
@@ -349,6 +350,10 @@ func (s *Server) handleCatalog(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleEnqueueJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	if err := decodeBody(r, &req); err != nil {
+		writeError(w, err)
+		return
+	}
+	if err := req.Config.validate(); err != nil {
 		writeError(w, err)
 		return
 	}

@@ -3,6 +3,7 @@ package trustnetd
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/trustnet/trustnet/internal/expansion"
 	"github.com/trustnet/trustnet/internal/graph"
@@ -27,8 +28,9 @@ type MeasureConfig struct {
 	MaxSteps int `json:"max_steps,omitempty"`
 	// ExpansionSources is the number of sampled BFS cores (expansion).
 	ExpansionSources int `json:"expansion_sources,omitempty"`
-	// Tolerance is the SLEM power-iteration tolerance (slem); 0 uses
-	// the spectral package default.
+	// Tolerance bounds the residual of both extreme Ritz pairs the SLEM
+	// is certified by (slem), in [spectral.MinTolerance, 1); 0 uses the
+	// spectral package default.
 	Tolerance float64 `json:"tolerance,omitempty"`
 	// Epsilon is the variation-distance target for mixing-time readouts
 	// and Sinclair bounds; 0 means 1/n.
@@ -52,6 +54,17 @@ func (c MeasureConfig) fill() MeasureConfig {
 		c.ExpansionSources = 64
 	}
 	return c
+}
+
+// validate rejects a configuration no measurement can honor: a SLEM
+// tolerance that is NaN, negative, at least 1, or below the residual
+// floor spectral.MinTolerance, which would hold a queue worker for the
+// whole iteration budget and end unconverged.
+func (c MeasureConfig) validate() error {
+	if t := c.Tolerance; math.IsNaN(t) || t < 0 || t >= 1 || (t > 0 && t < spectral.MinTolerance) {
+		return fmt.Errorf("tolerance %v outside [%g, 1) (0 selects the default)", t, spectral.MinTolerance)
+	}
+	return nil
 }
 
 // measureKey is the fingerprinted config struct: the job name plus the

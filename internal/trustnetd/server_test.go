@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -297,6 +298,38 @@ func TestJobNameSuggestion(t *testing.T) {
 	}
 	if !strings.Contains(errResp.Error, "mixing") {
 		t.Fatalf("no suggestion in error: %q", errResp.Error)
+	}
+}
+
+// TestEnqueueRejectsUnusableTolerance expects a SLEM tolerance outside
+// [spectral.MinTolerance, 1) to be answered 400 before anything is
+// queued, while a usable one is accepted.
+func TestEnqueueRejectsUnusableTolerance(t *testing.T) {
+	_, ts := newTestServer(t)
+	generateGraph(t, ts, "g")
+	for _, tol := range []float64{-1e-6, 1, 3, 1e-15, 1e-300} {
+		var errResp ErrorResponse
+		code := doJSON(t, "POST", ts.URL+"/v1/jobs",
+			JobRequest{Graph: "g", Job: "slem", Config: MeasureConfig{Tolerance: tol}}, &errResp)
+		if code != http.StatusBadRequest || !strings.Contains(errResp.Error, "tolerance") {
+			t.Fatalf("tolerance %v: status %d, error %q; want 400 naming the tolerance", tol, code, errResp.Error)
+		}
+	}
+	// NaN has no JSON spelling, so it can only reach the check from Go.
+	if err := (MeasureConfig{Tolerance: math.NaN()}).validate(); err == nil {
+		t.Fatal("NaN tolerance accepted")
+	}
+	var list JobList
+	if code := doJSON(t, "GET", ts.URL+"/v1/jobs", nil, &list); code != http.StatusOK || len(list.Jobs) != 0 {
+		t.Fatalf("rejected requests left jobs behind: status %d, %d jobs", code, len(list.Jobs))
+	}
+	var st JobStatus
+	if code := doJSON(t, "POST", ts.URL+"/v1/jobs",
+		JobRequest{Graph: "g", Job: "slem", Config: MeasureConfig{Tolerance: 1e-6}}, &st); code != http.StatusAccepted {
+		t.Fatalf("tolerance 1e-6: status %d, want 202", code)
+	}
+	if st = waitDone(t, ts, st.ID); st.State != StateDone {
+		t.Fatalf("tolerance 1e-6: job ended %q", st.State)
 	}
 }
 
